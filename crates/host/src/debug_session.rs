@@ -363,15 +363,18 @@ impl Session {
 
     /// Suspends the session into a serializable snapshot: detaches the
     /// debugger keeping its book-keeping (BRK patches stay in the memory
-    /// image) and captures the full device state.
+    /// image) and captures the full device state. The recorded device hash
+    /// is derived from the captured components, so the device state is
+    /// serialized once.
     pub fn suspend(self) -> SessionSnapshot {
         let (dev, state) = self.dbg.detach_with_state();
+        let soc = SocSnapshot::capture(&dev);
         SessionSnapshot {
             version: SESSION_SNAPSHOT_VERSION,
             cycles_run: self.cycles_run,
-            device_hash: device_state_hash(&dev),
+            device_hash: soc.device_state_hash(),
             debugger: state,
-            soc: SocSnapshot::capture(&dev),
+            soc,
         }
     }
 
@@ -552,6 +555,34 @@ mod tests {
             sr.stop.expect("subject stops").pc
         );
         assert_eq!(subject.state_hash(), control.state_hash());
+    }
+
+    #[test]
+    fn suspend_hash_from_components_matches_device_state_hash() {
+        for w in [Workload::Engine, Workload::Gearbox, Workload::EngineGearbox] {
+            for traced in [false, true] {
+                let mut spec = spec_for(w);
+                if !traced {
+                    spec.mcds = None;
+                }
+                let mut dev = spec.build();
+                dev.soc_mut().load_program(&w.program());
+                let mut s = Session::attach(dev, InterfaceKind::Jtag, &w.program(), None).unwrap();
+                s.run(20_000);
+                let live = s.state_hash();
+                let (dev, _) = s.dbg.detach_with_state();
+                let direct = device_state_hash(&dev);
+                assert_eq!(
+                    direct, live,
+                    "{w:?} traced={traced}: detach changed the device"
+                );
+                assert_eq!(
+                    SocSnapshot::capture(&dev).device_state_hash(),
+                    direct,
+                    "{w:?} traced={traced}"
+                );
+            }
+        }
     }
 
     #[test]

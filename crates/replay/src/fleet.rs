@@ -15,12 +15,13 @@
 //! part is FNV-hashed at capture, re-checked at load, and folded into one
 //! [`FleetSnapshot::state_hash`] suitable for bit-identical replay proofs.
 
-use crate::hash::{extend_fnv1a64, fnv1a64};
-use crate::snapshot::{SnapshotIoError, SocSnapshot};
+use crate::hash::{extend_fnv1a64, fnv1a64, FNV_OFFSET};
+use crate::snapshot::{decode_versioned, SnapshotIoError, SocSnapshot};
 use std::path::Path;
 
 /// Fleet snapshot format version; bump on incompatible layout changes.
-pub const FLEET_SNAPSHOT_VERSION: u32 = 1;
+/// Version 2 follows the embedded [`SocSnapshot`]s to hex byte images.
+pub const FLEET_SNAPSHOT_VERSION: u32 = 2;
 
 /// A versioned snapshot of a set of named devices plus their connecting
 /// fabric, captured at one fleet cycle.
@@ -78,7 +79,7 @@ impl FleetSnapshot {
     /// fabric blob's content hash. Two fleets with this hash equal are in
     /// bit-identical snapshot-visible state.
     pub fn state_hash(&self) -> u64 {
-        let mut h = extend_fnv1a64(0xcbf2_9ce4_8422_2325, &self.cycle.to_le_bytes());
+        let mut h = extend_fnv1a64(FNV_OFFSET, &self.cycle.to_le_bytes());
         for (name, snap) in &self.members {
             h = extend_fnv1a64(h, name.as_bytes());
             h = extend_fnv1a64(h, &snap.state_hash().to_le_bytes());
@@ -151,17 +152,7 @@ impl FleetSnapshot {
             path: path.to_path_buf(),
             source,
         })?;
-        let snap: FleetSnapshot =
-            serde_json::from_str(&json).map_err(|source| SnapshotIoError::Json {
-                path: path.to_path_buf(),
-                source,
-            })?;
-        if snap.version != FLEET_SNAPSHOT_VERSION {
-            return Err(SnapshotIoError::Version {
-                found: snap.version,
-                expected: FLEET_SNAPSHOT_VERSION,
-            });
-        }
+        let snap: FleetSnapshot = decode_versioned(&json, FLEET_SNAPSHOT_VERSION, path)?;
         snap.verify_integrity()?;
         Ok(snap)
     }

@@ -15,13 +15,15 @@
 //! (one lost artifact), not abort a multi-hour run.
 
 use crate::log::InputLog;
-use crate::snapshot::SocSnapshot;
+use crate::snapshot::{peek_version, SocSnapshot};
+use serde::Deserialize;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Artifact format version; bumped on incompatible layout changes.
-pub const REPRO_VERSION: u32 = 2;
+/// Version 3 follows the embedded [`SocSnapshot`] to hex byte images.
+pub const REPRO_VERSION: u32 = 3;
 
 /// A serializable, replayable description of one failing run.
 #[derive(serde::Serialize, serde::Deserialize, Debug, Clone)]
@@ -157,25 +159,26 @@ impl ReproArtifact {
         })
     }
 
-    /// Parses an artifact from a JSON string and checks its version.
+    /// Parses an artifact from a JSON string, checking its version before
+    /// decoding the body.
     ///
     /// # Errors
     ///
     /// [`ReproError::Json`] on malformed input, [`ReproError::Version`] on
     /// an incompatible format version.
     pub fn from_json(json: &str) -> Result<ReproArtifact, ReproError> {
-        let artifact: ReproArtifact =
-            serde_json::from_str(json).map_err(|source| ReproError::Json {
-                path: PathBuf::new(),
-                source,
-            })?;
-        if artifact.version != REPRO_VERSION {
+        let json_err = |source| ReproError::Json {
+            path: PathBuf::new(),
+            source,
+        };
+        let (value, found) = peek_version(json).map_err(json_err)?;
+        if found != REPRO_VERSION {
             return Err(ReproError::Version {
-                found: artifact.version,
+                found,
                 expected: REPRO_VERSION,
             });
         }
-        Ok(artifact)
+        ReproArtifact::from_value(&value).map_err(|e| json_err(e.into()))
     }
 
     /// Writes the artifact as JSON to `path`, creating parent directories.

@@ -15,17 +15,26 @@
 //!
 //! Every component carries an FNV-1a hash of its raw contents, computed at
 //! capture time and re-checked when a delta chain is materialized.
+//!
+//! On disk a snapshot is JSON. Byte images (every [`Payload::Raw`] and
+//! [`DeltaOp::bytes`]) are written as one lowercase-hex string each, by
+//! hand-written serde impls in this module: the generic `Vec<u8>` encoding
+//! spends one JSON number — and one in-memory `Value` node — per byte,
+//! which made persisting a megabyte-class image cost hundreds of
+//! milliseconds.
 
-use crate::hash::fnv1a64;
+use crate::hash::{extend_fnv1a64, fnv1a64, FNV_OFFSET};
 use mcds_psi::{Device, DeviceState};
 use mcds_soc::soc::MemoryId;
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Snapshot format version; bump on any incompatible change to the
-/// component set or encodings.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// component set or encodings. Version 2 stores byte images as hex
+/// strings (version 1 wrote one JSON integer per byte).
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Merge two difference runs into one [`DeltaOp`] when the gap of equal
 /// bytes between them is at most this long — one op's framing overhead
@@ -108,7 +117,7 @@ impl std::error::Error for SnapshotIoError {
 }
 
 /// A contiguous byte-range replacement within a component image.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaOp {
     /// Byte offset into the image.
     pub offset: u64,
@@ -117,7 +126,12 @@ pub struct DeltaOp {
 }
 
 /// How a component's contents are stored in a snapshot.
-#[derive(serde::Serialize, serde::Deserialize, Debug, Clone, PartialEq, Eq)]
+///
+/// Serialized externally tagged like a derived enum, except that byte
+/// images (`Raw` contents and [`DeltaOp::bytes`]) are one lowercase-hex
+/// string each: `{"Raw":"00ff"}`, `{"Delta":{"len":n,"ops":[{"offset":o,
+/// "bytes":"2a"}]}}`, `"Same"`.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Payload {
     /// The full contents.
     Raw(Vec<u8>),
@@ -144,6 +158,114 @@ impl Payload {
             Payload::Delta { ops, .. } => ops.iter().map(|op| op.bytes.len() + 12).sum(),
             Payload::Same => 0,
         }
+    }
+}
+
+impl Serialize for DeltaOp {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("offset".to_string(), self.offset.to_value()),
+            ("bytes".to_string(), hex_value(&self.bytes)),
+        ])
+    }
+}
+
+impl Deserialize for DeltaOp {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(DeltaOp {
+            offset: u64::from_value(serde::map_get(v, "offset")?)?,
+            bytes: hex_bytes(serde::map_get(v, "bytes")?)?,
+        })
+    }
+}
+
+impl Serialize for Payload {
+    fn to_value(&self) -> Value {
+        let tagged = |tag: &str, payload| Value::Map(vec![(tag.to_string(), payload)]);
+        match self {
+            Payload::Raw(bytes) => tagged("Raw", hex_value(bytes)),
+            Payload::Delta { len, ops } => tagged(
+                "Delta",
+                Value::Map(vec![
+                    ("len".to_string(), len.to_value()),
+                    ("ops".to_string(), ops.to_value()),
+                ]),
+            ),
+            Payload::Same => Value::Str("Same".to_string()),
+        }
+    }
+}
+
+impl Deserialize for Payload {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let (variant, payload) = serde::enum_variant(v)?;
+        let payload = || {
+            payload
+                .ok_or_else(|| serde::Error::msg(format!("variant `{variant}` expects a payload")))
+        };
+        match variant {
+            "Raw" => Ok(Payload::Raw(hex_bytes(payload()?)?)),
+            "Delta" => {
+                let fields = payload()?;
+                Ok(Payload::Delta {
+                    len: u64::from_value(serde::map_get(fields, "len")?)?,
+                    ops: Vec::from_value(serde::map_get(fields, "ops")?)?,
+                })
+            }
+            "Same" => Ok(Payload::Same),
+            other => Err(serde::Error::msg(format!(
+                "unknown variant `{other}` for Payload"
+            ))),
+        }
+    }
+}
+
+/// Encodes a byte image as one lowercase-hex string — two characters per
+/// byte, where the generic `Vec<u8>` encoding spends one JSON number per
+/// byte.
+fn hex_value(bytes: &[u8]) -> Value {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut hex = Vec::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        hex.push(DIGITS[usize::from(b >> 4)]);
+        hex.push(DIGITS[usize::from(b & 0xF)]);
+    }
+    Value::Str(String::from_utf8(hex).expect("hex digits are ASCII"))
+}
+
+/// Decodes a byte image written by [`hex_value`]. Anything else — not a
+/// string, an odd digit count, or a character outside `0-9a-f` — is a
+/// typed error.
+fn hex_bytes(v: &Value) -> Result<Vec<u8>, serde::Error> {
+    let Value::Str(hex) = v else {
+        return Err(serde::Error::msg("expected a hex string for a byte image"));
+    };
+    let digits = hex.as_bytes();
+    if digits.len() % 2 != 0 {
+        return Err(serde::Error::msg(format!(
+            "hex byte image has odd length {}",
+            digits.len()
+        )));
+    }
+    let mut bytes = Vec::with_capacity(digits.len() / 2);
+    for (i, pair) in digits.chunks_exact(2).enumerate() {
+        match (hex_nibble(pair[0]), hex_nibble(pair[1])) {
+            (Some(hi), Some(lo)) => bytes.push(hi << 4 | lo),
+            _ => {
+                return Err(serde::Error::msg(format!(
+                    "invalid hex digit in byte image at byte {i}"
+                )))
+            }
+        }
+    }
+    Ok(bytes)
+}
+
+fn hex_nibble(digit: u8) -> Option<u8> {
+    match digit {
+        b'0'..=b'9' => Some(digit - b'0'),
+        b'a'..=b'f' => Some(digit - b'a' + 10),
+        _ => None,
     }
 }
 
@@ -382,14 +504,34 @@ impl SocSnapshot {
         }
     }
 
+    /// The [`crate::device_state_hash`] of the device this snapshot was
+    /// captured from, derived from the stored components: FNV-1a over the
+    /// `device/state` bytes, extended over each memory image in capture
+    /// order — the same chain, without serializing the device again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot is not raw (materialize first).
+    pub fn device_state_hash(&self) -> u64 {
+        self.components.iter().fold(FNV_OFFSET, |h, c| {
+            let Payload::Raw(bytes) = &c.payload else {
+                panic!(
+                    "device_state_hash requires a raw snapshot (component {})",
+                    c.name
+                );
+            };
+            extend_fnv1a64(h, bytes)
+        })
+    }
+
     /// A single hash summarizing the whole snapshot: the capture cycle plus
     /// every component's name and content hash, in capture order. Stable
     /// across delta encoding and materialization.
     pub fn state_hash(&self) -> u64 {
-        let mut h = crate::hash::extend_fnv1a64(0xcbf2_9ce4_8422_2325, &self.cycle.to_le_bytes());
+        let mut h = extend_fnv1a64(FNV_OFFSET, &self.cycle.to_le_bytes());
         for c in &self.components {
-            h = crate::hash::extend_fnv1a64(h, c.name.as_bytes());
-            h = crate::hash::extend_fnv1a64(h, &c.hash.to_le_bytes());
+            h = extend_fnv1a64(h, c.name.as_bytes());
+            h = extend_fnv1a64(h, &c.hash.to_le_bytes());
         }
         h
     }
@@ -482,20 +624,38 @@ impl SocSnapshot {
             path: path.to_path_buf(),
             source,
         })?;
-        let snap: SocSnapshot =
-            serde_json::from_str(&json).map_err(|source| SnapshotIoError::Json {
-                path: path.to_path_buf(),
-                source,
-            })?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(SnapshotIoError::Version {
-                found: snap.version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
+        let snap: SocSnapshot = decode_versioned(&json, SNAPSHOT_VERSION, path)?;
         snap.verify_integrity()?;
         Ok(snap)
     }
+}
+
+/// Parses `json` and reads its top-level `version` field without decoding
+/// the body, so a file from another format version is reported by number
+/// instead of failing on whatever field its layout changed.
+pub(crate) fn peek_version(json: &str) -> Result<(Value, u32), serde_json::Error> {
+    let value: Value = serde_json::from_str(json)?;
+    let version = u32::from_value(serde::map_get(&value, "version")?)?;
+    Ok((value, version))
+}
+
+/// Decodes a saved snapshot container at format version `expected`:
+/// [`SnapshotIoError::Version`] when the file carries another version,
+/// [`SnapshotIoError::Json`] when it is malformed.
+pub(crate) fn decode_versioned<T: Deserialize>(
+    json: &str,
+    expected: u32,
+    path: &Path,
+) -> Result<T, SnapshotIoError> {
+    let json_err = |source| SnapshotIoError::Json {
+        path: path.to_path_buf(),
+        source,
+    };
+    let (value, found) = peek_version(json).map_err(json_err)?;
+    if found != expected {
+        return Err(SnapshotIoError::Version { found, expected });
+    }
+    T::from_value(&value).map_err(|e| json_err(e.into()))
 }
 
 fn raw_component(name: &str, bytes: Vec<u8>) -> Component {

@@ -112,3 +112,14 @@ for t in t7 t8 t9 t11 t12 t13_farm t14_vnet t15_obs t16_kernel; do
   test -s "target/analysis/${t}_telemetry.json" \
     || { echo "missing ${t}_telemetry.json"; exit 1; }
 done
+
+# Benchmark smoke: the perfbench package builds against the current
+# crates, its tests pass, and a short farm_control run (evict/revive,
+# breakpoints, XCP, churn over the wire, replies mirrored in process)
+# must report a correct run on its result line. 13 s is the shortest run
+# with enough samples for the p90 the report requires (5 blocks of 22 ops).
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+  --workload farm_control --seconds 13 --trace 0)
+tail -n 1 <<<"$smoke" | grep -q '"correct": true' \
+  || { echo "perfbench farm_control smoke not correct"; exit 1; }
