@@ -9,10 +9,10 @@
 //! buys and asserts the promise on every run:
 //!
 //! * **T16a** — straight-line speed: an idle-MCDS ALU/memory loop under
-//!   `PerCycle`, `EventKernel` and `BlockBatched`, best-of-N wall time,
-//!   identical state hashes asserted, block-batched >= 5x per-cycle;
+//!   `PerCycle` and `BlockBatched`, best-of-N wall time, identical state
+//!   hashes asserted, block-batched >= 5x per-cycle;
 //! * **T16b** — quiescent skip: a timer-wait workload (halted core, armed
-//!   timer) where the event kernel must be >= 10x per-cycle;
+//!   timer) where block-batched must be >= 10x per-cycle;
 //! * **T16c** — observation safety: the same workload traced; every mode
 //!   must produce identical encoded trace bytes, decoded messages and
 //!   state hashes (the idle gate keeps observed runs exact);
@@ -53,8 +53,8 @@ const STRAIGHT_LINE: &str = "
 ";
 
 /// Timer-wait workload: the core arms the system timer and halts; the
-/// only activity is the periodic fire re-arming itself. The event kernel
-/// skips the quiet stretches wholesale.
+/// only activity is the periodic fire re-arming itself. The kernel's
+/// event skip jumps the quiet stretches wholesale.
 const TIMER_WAIT: &str = "
     .equ PERIOD_REG, 0xF0000008
     .org 0x80000000
@@ -117,19 +117,14 @@ fn timed(src: &str, mode: ExecMode, cycles: u64) -> (f64, u64, u64, ExecStats) {
 fn mode_name(mode: ExecMode) -> &'static str {
     match mode {
         ExecMode::PerCycle => "per-cycle",
-        ExecMode::EventKernel => "event-kernel",
         ExecMode::BlockBatched => "block-batched",
     }
 }
 
-/// Best-of-N over the three modes; asserts state and snapshot hashes are
-/// identical across all of them, returns per-mode (wall, stats).
+/// Best-of-N over both modes; asserts state and snapshot hashes are
+/// identical across them, returns per-mode (wall, stats).
 fn compare(src: &str, cycles: u64, repeats: usize) -> Vec<(ExecMode, f64, ExecStats)> {
-    const MODES: [ExecMode; 3] = [
-        ExecMode::PerCycle,
-        ExecMode::EventKernel,
-        ExecMode::BlockBatched,
-    ];
+    const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
     let mut out = Vec::new();
     let mut reference: Option<(u64, u64)> = None;
     for mode in MODES {
@@ -207,14 +202,14 @@ fn main() {
         &line,
     );
     let wall_per_cycle = line[0].1;
-    let wall_block = line[2].1;
+    let wall_block = line[1].1;
     let line_speedup = wall_per_cycle / wall_block;
     println!("block-batched speedup {line_speedup:.2}x vs per-cycle; hashes identical\n");
     assert!(
         line_speedup >= 5.0,
         "block-batched must be >= 5x per-cycle on straight-line code (got {line_speedup:.2}x)"
     );
-    let block_stats = line[2].2;
+    let block_stats = line[1].2;
     assert!(
         block_stats.block_cycles > (cycles / 10) * 9,
         "the hot loop must run overwhelmingly in blocks: {block_stats:?}"
@@ -228,17 +223,17 @@ fn main() {
         &quiet,
     );
     let wall_quiet_per_cycle = quiet[0].1;
-    let wall_quiet_event = quiet[1].1;
-    let quiet_speedup = wall_quiet_per_cycle / wall_quiet_event;
-    println!("event-kernel speedup {quiet_speedup:.2}x vs per-cycle; hashes identical\n");
+    let wall_quiet_block = quiet[1].1;
+    let quiet_speedup = wall_quiet_per_cycle / wall_quiet_block;
+    println!("block-batched speedup {quiet_speedup:.2}x vs per-cycle; hashes identical\n");
     assert!(
         quiet_speedup >= 10.0,
-        "the event kernel must be >= 10x per-cycle on a quiescent workload (got {quiet_speedup:.2}x)"
+        "block-batched must be >= 10x per-cycle on a quiescent workload (got {quiet_speedup:.2}x)"
     );
-    let event_stats = quiet[1].2;
+    let quiet_stats = quiet[1].2;
     assert!(
-        event_stats.skipped_cycles > (quiet_cycles / 10) * 9,
-        "a timer-wait run must skip almost everything: {event_stats:?}"
+        quiet_stats.skipped_cycles > (quiet_cycles / 10) * 9,
+        "a timer-wait run must skip almost everything: {quiet_stats:?}"
     );
 
     // --- T16c: traced runs are mode-independent, trace included. --------
@@ -255,19 +250,15 @@ fn main() {
         (bytes, msgs, device_state_hash(&dev))
     };
     let want = traced(ExecMode::PerCycle);
-    for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-        let got = traced(mode);
-        assert_eq!(
-            got.0,
-            want.0,
-            "{}: traced run must produce identical sink bytes",
-            mode_name(mode)
-        );
-        assert_eq!(got.1, want.1, "{}: decoded trace differs", mode_name(mode));
-        assert_eq!(got.2, want.2, "{}: state hash differs", mode_name(mode));
-    }
+    let got = traced(ExecMode::BlockBatched);
+    assert_eq!(
+        got.0, want.0,
+        "block-batched: traced run must produce identical sink bytes"
+    );
+    assert_eq!(got.1, want.1, "block-batched: decoded trace differs");
+    assert_eq!(got.2, want.2, "block-batched: state hash differs");
     println!(
-        "T16c: traced runs bit-identical across all modes \
+        "T16c: traced runs bit-identical across both modes \
          ({} trace bytes, {} decoded messages)\n",
         want.0.len(),
         want.1.len()
@@ -285,11 +276,14 @@ fn main() {
         "t16_skipped_cycles_total",
         "cycles skipped as quiescent (timer-wait run)",
     )
-    .add(event_stats.skipped_cycles);
+    .add(quiet_stats.skipped_cycles);
     r.gauge("t16_line_speedup", "block-batched speedup vs per-cycle")
         .set(line_speedup);
-    r.gauge("t16_quiet_speedup", "event-kernel speedup vs per-cycle")
-        .set(quiet_speedup);
+    r.gauge(
+        "t16_quiet_speedup",
+        "block-batched speedup vs per-cycle on quiescence",
+    )
+    .set(quiet_speedup);
     let decodes = block_stats.decode_hits + block_stats.decode_misses;
     r.gauge(
         "t16_decode_hit_rate",

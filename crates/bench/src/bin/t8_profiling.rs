@@ -222,7 +222,8 @@ fn main() {
     let snap = tel.snapshot();
     for sub in [Subsystem::FifoDrain, Subsystem::TraceDecode] {
         assert!(
-            snap.subsystems.iter().any(|s| s.subsystem == sub.name()),
+            snap.counter("telemetry_spans_total", &[("subsystem", sub.name())])
+                .is_some(),
             "missing {sub} span in telemetry"
         );
     }

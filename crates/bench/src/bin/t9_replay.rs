@@ -337,16 +337,12 @@ fn main() {
         .metrics
         .iter()
         .any(|m| m.name == "replay_checkpoint_bytes_total"));
-    let snapshots = snap
-        .subsystems
-        .iter()
-        .find(|s| s.subsystem == Subsystem::Snapshot.name())
-        .expect("snapshot spans recorded");
-    assert!(snapshots.count >= cp_count);
+    let spans =
+        |sub: Subsystem| snap.counter("telemetry_spans_total", &[("subsystem", sub.name())]);
+    let snapshots = spans(Subsystem::Snapshot).expect("snapshot spans recorded");
+    assert!(snapshots >= cp_count);
     assert!(
-        snap.subsystems
-            .iter()
-            .any(|s| s.subsystem == Subsystem::Restore.name()),
+        spans(Subsystem::Restore).is_some(),
         "seek restored through a checkpoint"
     );
     write_telemetry_artifacts(&args, "t9", &tel);

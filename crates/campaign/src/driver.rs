@@ -224,8 +224,7 @@ impl Campaign {
                 };
                 execs += 1;
                 if let Some(t) = tel.as_ref() {
-                    t.spans()
-                        .record(Subsystem::Campaign, 0, outcome.end_cycle, 0);
+                    t.span(Subsystem::Campaign, 0, outcome.end_cycle, 0);
                 }
                 if outcome.recovered {
                     recovered += 1;
@@ -264,7 +263,7 @@ impl Campaign {
                 arcs_g.set(frontier.covered_arcs() as f64);
             }
             if let Some(t) = tel.as_ref() {
-                t.spans().record(
+                t.span(
                     Subsystem::Campaign,
                     0,
                     0,

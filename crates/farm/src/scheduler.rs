@@ -179,8 +179,7 @@ fn worker_loop(queue: &Queue, farm: &Farm) {
         let kernel_after = *session.exec_stats();
         let end_cycle = session.cycles_run();
         farm.telemetry()
-            .spans()
-            .record(Subsystem::Farm, start_cycle, end_cycle, wall_ns);
+            .span(Subsystem::Farm, start_cycle, end_cycle, wall_ns);
         farm.journal().record(
             job.corr,
             Some(end_cycle),

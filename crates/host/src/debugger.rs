@@ -22,6 +22,7 @@ use mcds_psi::interface::InterfaceKind;
 use mcds_soc::bus::AddrRange;
 use mcds_soc::event::{CoreId, StopCause};
 use mcds_soc::isa::{Instr, Reg};
+use mcds_soc::sink::NullSink;
 use mcds_soc::RunState;
 use std::collections::HashMap;
 use std::fmt;
@@ -616,7 +617,7 @@ impl Debugger {
             return Ok(e);
         }
         for _ in 0..max_cycles {
-            self.dev.step();
+            self.dev.step_into(&mut NullSink);
             if let Some(e) = self.find_stopped() {
                 return Ok(e);
             }

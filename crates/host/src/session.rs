@@ -23,7 +23,7 @@ use mcds_analysis::{
 use mcds_psi::device::{DebugOp, DebugResponse, Device, DeviceError};
 use mcds_soc::asm::Program;
 use mcds_soc::overlay::{OverlayRange, OVERLAY_MAX_BLOCK, OVERLAY_RANGE_COUNT};
-use mcds_soc::sink::FanOut;
+use mcds_soc::sink::{FanOut, NullSink};
 use mcds_soc::soc::memmap;
 use mcds_telemetry::Subsystem;
 use mcds_trace::{
@@ -183,7 +183,8 @@ impl TraceSession {
         dbg: &mut Debugger,
         max_cycles: u64,
     ) -> Result<TraceOutcome, SessionError> {
-        dbg.device_mut().run_until_halt(max_cycles);
+        dbg.device_mut()
+            .run_until_halt_into(max_cycles, &mut NullSink);
         // Flush residual observer state into the sink before download.
         drain_residual_trace(dbg.device_mut());
         self.download(dbg)
@@ -276,7 +277,7 @@ impl TraceSession {
         let drain_t0 = dbg.device().telemetry().map(|_| Instant::now());
         drain_residual_trace(dbg.device_mut());
         if let (Some(t0), Some(tel)) = (drain_t0, dbg.device().telemetry()) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::FifoDrain,
                 now,
                 now,
@@ -306,7 +307,7 @@ impl TraceSession {
             (messages, ResyncReport::default())
         };
         if let (Some(t0), Some(tel)) = (decode_t0, dbg.device().telemetry()) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::TraceDecode,
                 decode_cycle,
                 decode_cycle,

@@ -10,6 +10,7 @@
 //! offers.
 
 use crate::device::Device;
+use mcds_soc::sink::NullSink;
 use std::fmt;
 
 /// One wire: `from` device's trigger-out `pin` drives `to` device's
@@ -121,7 +122,7 @@ impl MultiChipBench {
     pub fn step(&mut self) {
         // 1. Step all devices.
         for d in &mut self.devices {
-            d.step();
+            d.step_into(&mut NullSink);
         }
         // 2. Collect fresh pulses: MCDS trigger-out actions and
         //    application writes to TRIG_OUT.

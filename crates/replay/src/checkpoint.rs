@@ -227,12 +227,11 @@ mod telemetry_tests {
             MetricValue::Gauge(cp_bytes as f64)
         );
         // Each capture recorded a Snapshot span.
-        let snap_spans = snap
-            .subsystems
-            .iter()
-            .find(|s| s.subsystem == Subsystem::Snapshot.name())
-            .expect("snapshot span summary present");
-        assert_eq!(snap_spans.count, 2);
+        let spans = snap.counter(
+            "telemetry_spans_total",
+            &[("subsystem", Subsystem::Snapshot.name())],
+        );
+        assert_eq!(spans, Some(2));
     }
 
     #[test]
@@ -250,11 +249,10 @@ mod telemetry_tests {
             .telemetry()
             .expect("telemetry survives restore")
             .snapshot();
-        let restore = snap
-            .subsystems
-            .iter()
-            .find(|s| s.subsystem == Subsystem::Restore.name())
-            .expect("restore span summary present");
-        assert_eq!(restore.count, 1);
+        let spans = snap.counter(
+            "telemetry_spans_total",
+            &[("subsystem", Subsystem::Restore.name())],
+        );
+        assert_eq!(spans, Some(1));
     }
 }

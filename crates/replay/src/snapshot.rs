@@ -321,7 +321,7 @@ impl SocSnapshot {
         }
         let cycle = dev.soc().cycle();
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
-            tel.spans().record(
+            tel.span(
                 mcds_telemetry::Subsystem::Snapshot,
                 cycle,
                 cycle,
@@ -495,7 +495,7 @@ impl SocSnapshot {
         let state: DeviceState = serde_json::from_str(json).expect("device state deserializes");
         dev.restore_state(&state);
         if let (Some(t0), Some(tel)) = (span_t0, dev.telemetry()) {
-            tel.spans().record(
+            tel.span(
                 mcds_telemetry::Subsystem::Restore,
                 self.cycle,
                 self.cycle,

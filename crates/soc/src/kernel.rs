@@ -64,11 +64,10 @@ use crate::soc::{Soc, SocTarget};
 pub enum ExecMode {
     /// The exact per-cycle reference loop, one `step` per cycle.
     PerCycle,
-    /// Event skip only: quiescent stretches jump via the wakeup heap;
-    /// every non-quiescent cycle is stepped exactly.
-    EventKernel,
-    /// Event skip plus batched basic-block execution of straight-line
-    /// code when the single-active-core preconditions hold (the default).
+    /// Event skip of quiescent stretches via the wakeup heap, plus batched
+    /// basic-block execution of straight-line code when the
+    /// single-active-core preconditions hold (the default); every other
+    /// cycle is stepped exactly.
     #[default]
     BlockBatched,
 }
@@ -231,7 +230,6 @@ impl Soc {
             }
             return self.cycle - start;
         }
-        let block = self.exec.mode == ExecMode::BlockBatched;
         while self.cycle < target {
             if stop_on_halt && self.cores.iter().all(|c| c.is_halted()) {
                 if self.cycle == start {
@@ -251,11 +249,9 @@ impl Soc {
                 self.exec.stats.skipped_cycles += skip;
                 continue;
             }
-            if block {
-                if let Some(core) = self.block_core() {
-                    if self.run_block(core, target) {
-                        continue;
-                    }
+            if let Some(core) = self.block_core() {
+                if self.run_block(core, target) {
+                    continue;
                 }
             }
             // Something is live this cycle (or the block layer could not
@@ -612,11 +608,7 @@ mod tests {
     use crate::isa::Reg;
     use crate::soc::{memmap, Soc, SocBuilder, SocState};
 
-    const MODES: [ExecMode; 3] = [
-        ExecMode::PerCycle,
-        ExecMode::EventKernel,
-        ExecMode::BlockBatched,
-    ];
+    const MODES: [ExecMode; 2] = [ExecMode::PerCycle, ExecMode::BlockBatched];
 
     /// Runs `soc` for `total` cycles in uneven quanta (so blocks are cut
     /// at awkward boundaries) and returns the final architectural state.
@@ -634,16 +626,12 @@ mod tests {
         soc.save_state()
     }
 
-    /// Asserts that all three execution modes land on bit-identical
+    /// Asserts that both execution modes land on bit-identical
     /// architectural state after `total` cycles of `build()`'s SoC.
-    fn assert_tri_modal(build: impl Fn() -> Soc, total: u64) -> SocState {
-        let mut reference = build();
-        let per_cycle = run_sliced(&mut reference, ExecMode::PerCycle, total);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            let mut soc = build();
-            let state = run_sliced(&mut soc, mode, total);
-            assert_eq!(state, per_cycle, "{mode:?} diverged from PerCycle");
-        }
+    fn assert_modes_agree(build: impl Fn() -> Soc, total: u64) -> SocState {
+        let per_cycle = run_sliced(&mut build(), ExecMode::PerCycle, total);
+        let batched = run_sliced(&mut build(), ExecMode::BlockBatched, total);
+        assert_eq!(batched, per_cycle, "BlockBatched diverged from PerCycle");
         per_cycle
     }
 
@@ -654,7 +642,7 @@ mod tests {
     }
 
     #[test]
-    fn straight_line_loop_is_tri_modal_identical() {
+    fn straight_line_loop_is_identical_across_modes() {
         let src = "
             .org 0x80000000
             start:
@@ -667,11 +655,11 @@ mod tests {
                 bne r1, r0, loop
                 halt
         ";
-        assert_tri_modal(|| single_core_soc(src), 30_000);
+        assert_modes_agree(|| single_core_soc(src), 30_000);
     }
 
     #[test]
-    fn memory_and_muldiv_loop_is_tri_modal_identical() {
+    fn memory_and_muldiv_loop_is_identical_across_modes() {
         let src = "
             .org 0x80000000
             start:
@@ -688,11 +676,11 @@ mod tests {
                 bne r1, r0, loop
                 halt
         ";
-        assert_tri_modal(|| single_core_soc(src), 30_000);
+        assert_modes_agree(|| single_core_soc(src), 30_000);
     }
 
     #[test]
-    fn timer_interrupt_run_is_tri_modal_identical() {
+    fn timer_interrupt_run_is_identical_across_modes() {
         let src = format!(
             "
             .equ PERIOD_REG, 0xF0000008
@@ -720,7 +708,7 @@ mod tests {
             ",
             vector = DEFAULT_IRQ_VECTOR,
         );
-        let state = assert_tri_modal(|| single_core_soc(&src), 25_000);
+        let state = assert_modes_agree(|| single_core_soc(&src), 25_000);
         drop(state);
         // The run actually took interrupts.
         let mut soc = single_core_soc(&src);
@@ -729,7 +717,7 @@ mod tests {
     }
 
     #[test]
-    fn dma_run_is_tri_modal_identical() {
+    fn dma_run_is_identical_across_modes() {
         let src = "
             .equ DMA_SRC,  0xF0000400
             .org 0x80000000
@@ -756,11 +744,11 @@ mod tests {
             soc.load_program(&assemble(src).expect("assembles"));
             soc
         };
-        assert_tri_modal(build, 20_000);
+        assert_modes_agree(build, 20_000);
     }
 
     #[test]
-    fn two_cores_and_clock_divider_are_tri_modal_identical() {
+    fn two_cores_and_clock_divider_are_identical_across_modes() {
         let src = "
             .org 0x80000000
             start:
@@ -787,13 +775,12 @@ mod tests {
             soc.load_program(&assemble(src).expect("assembles"));
             soc
         };
-        assert_tri_modal(build, 30_000);
+        assert_modes_agree(build, 30_000);
     }
 
     #[test]
     fn quiescent_stretch_is_skipped_in_constant_events() {
         let mut soc = single_core_soc(".org 0x80000000\nhalt");
-        soc.set_exec_mode(ExecMode::EventKernel);
         soc.run_until_halt(100);
         let before = soc.exec_stats().skipped_cycles;
         soc.run_cycles(1_000_000);
@@ -863,7 +850,6 @@ mod tests {
             results.push((cycle_at_halt, soc.save_state()));
         }
         assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
     }
 
     /// Satellite regression: a debug-master write into the emulation-RAM
@@ -929,9 +915,7 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
     /// Satellite regression: a backdoor (tooling) write over code
@@ -1042,9 +1026,7 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
     /// Satellite regression: a mid-run calibration page swap switches the
@@ -1108,9 +1090,7 @@ mod tests {
             soc.save_state()
         };
         let per_cycle = run(ExecMode::PerCycle);
-        for mode in [ExecMode::EventKernel, ExecMode::BlockBatched] {
-            assert_eq!(run(mode), per_cycle, "{mode:?}");
-        }
+        assert_eq!(run(ExecMode::BlockBatched), per_cycle);
     }
 
     /// The decode cache and event heap are derived state: a snapshot

@@ -1,15 +1,12 @@
 //! Snapshot exporters: Prometheus text exposition and JSON.
 //!
 //! Both render a [`TelemetrySnapshot`], so a snapshot taken once can be
-//! exported twice consistently. Span aggregates are exported as three
-//! synthetic counter families (`telemetry_spans_total`,
-//! `telemetry_span_sim_cycles_total`, `telemetry_span_wall_ns_total`)
-//! labelled by subsystem, so a Prometheus scrape sees the same data the
-//! JSON document carries structurally.
+//! exported twice consistently. Span counters are ordinary registry
+//! counters and need no special case here.
 
 use std::fmt::Write as _;
 
-use crate::metrics::{MetricValue, TelemetrySnapshot};
+use crate::metrics::{MetricSnapshot, MetricValue, TelemetrySnapshot};
 
 /// Renders the snapshot as a JSON document (the `*_telemetry.json` bench
 /// artifact). Parse it back with
@@ -41,12 +38,18 @@ fn labels_plus(labels: &[(String, String)], extra: (&str, &str)) -> String {
     render_labels(&all)
 }
 
-/// Renders the snapshot in Prometheus text exposition format
-/// (`# HELP` / `# TYPE` preambles, one sample per line).
+/// Renders the snapshot in Prometheus text exposition format: one
+/// `# HELP` / `# TYPE` preamble per family, families in first-registration
+/// order, each family's series together after it, one sample per line.
 pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
+    // A stable sort by each family's first index groups the series of a
+    // family that was registered at different times.
+    let first = |name: &str| snapshot.metrics.iter().position(|m| m.name == name);
+    let mut metrics: Vec<&MetricSnapshot> = snapshot.metrics.iter().collect();
+    metrics.sort_by_cached_key(|m| first(&m.name));
     let mut out = String::new();
     let mut last_family = "";
-    for m in &snapshot.metrics {
+    for m in metrics {
         let kind = match &m.value {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
@@ -89,43 +92,6 @@ pub fn to_prometheus(snapshot: &TelemetrySnapshot) -> String {
             }
         }
     }
-    for s in &snapshot.subsystems {
-        let labels = render_labels(&[("subsystem".to_string(), s.subsystem.clone())]);
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_spans_total spans recorded per subsystem"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_spans_total counter");
-        let _ = writeln!(out, "telemetry_spans_total{labels} {}", s.count);
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_span_sim_cycles_total simulated cycles covered by spans"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_span_sim_cycles_total counter");
-        let _ = writeln!(
-            out,
-            "telemetry_span_sim_cycles_total{labels} {}",
-            s.sim_cycles
-        );
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_span_wall_ns_total host wall nanoseconds spent in spans"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_span_wall_ns_total counter");
-        let _ = writeln!(out, "telemetry_span_wall_ns_total{labels} {}", s.wall_ns);
-    }
-    if snapshot.dropped_spans > 0 || !snapshot.subsystems.is_empty() {
-        let _ = writeln!(
-            out,
-            "# HELP telemetry_spans_dropped_total span events lost to the bounded ring"
-        );
-        let _ = writeln!(out, "# TYPE telemetry_spans_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "telemetry_spans_dropped_total {}",
-            snapshot.dropped_spans
-        );
-    }
     out
 }
 
@@ -144,10 +110,15 @@ fn valid_name(name: &str) -> bool {
 ///
 /// Checks that every non-comment line is `name[{labels}] value`, that
 /// names are legal, that every sample's family was announced by a
-/// `# TYPE` line, and that values parse as numbers (`+Inf` allowed in
-/// `le` labels, not as values). Returns the number of samples.
+/// `# TYPE` line, that no family has a second `# TYPE` or `# HELP` line,
+/// that each family's samples are contiguous, and that values parse as
+/// numbers (`+Inf` allowed in `le` labels, not as values). Returns the
+/// number of samples.
 pub fn validate_prometheus(text: &str) -> Result<usize, String> {
     let mut typed: Vec<String> = Vec::new();
+    let mut helped: Vec<String> = Vec::new();
+    // Families in the order their samples began; only the last may grow.
+    let mut sampled: Vec<String> = Vec::new();
     let mut samples = 0usize;
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -167,7 +138,19 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
                 ) {
                     return Err(format!("line {lineno}: unknown metric kind {kind}"));
                 }
+                if typed.iter().any(|t| t == name) {
+                    return Err(format!("line {lineno}: second TYPE line for {name}"));
+                }
                 typed.push(name.to_string());
+            } else if let Some(decl) = rest.strip_prefix("HELP ") {
+                let name = decl
+                    .split_whitespace()
+                    .next()
+                    .ok_or(format!("line {lineno}: bare HELP"))?;
+                if helped.iter().any(|h| h == name) {
+                    return Err(format!("line {lineno}: second HELP line for {name}"));
+                }
+                helped.push(name.to_string());
             }
             continue;
         }
@@ -192,6 +175,14 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
             .unwrap_or(name);
         if !typed.iter().any(|t| t == family) {
             return Err(format!("line {lineno}: sample {name} has no TYPE line"));
+        }
+        if sampled.last().map(String::as_str) != Some(family) {
+            if sampled.iter().any(|f| f == family) {
+                return Err(format!(
+                    "line {lineno}: samples of {family} are not contiguous"
+                ));
+            }
+            sampled.push(family.to_string());
         }
         if let Some(open) = series.find('{') {
             if !series.ends_with('}') {
@@ -256,6 +247,37 @@ mod tests {
         assert!(validate_prometheus("# TYPE x counter\nx notanumber").is_err());
         assert!(validate_prometheus("# TYPE x counter\nx{bad} 1").is_err());
         assert!(validate_prometheus("# TYPE x wat\nx 1").is_err());
+    }
+
+    #[test]
+    fn families_split_by_registration_order_render_once() {
+        let reg = Registry::new();
+        reg.counter_with("a", "a help", &[("m", "0")]).add(1);
+        reg.counter("b", "b help").add(2);
+        reg.counter_with("a", "a help", &[("m", "1")]).add(3);
+        let prom = to_prometheus(&reg.snapshot());
+        assert_eq!(
+            prom,
+            "# HELP a a help\n# TYPE a counter\na{m=\"0\"} 1\na{m=\"1\"} 3\n\
+             # HELP b b help\n# TYPE b counter\nb 2\n"
+        );
+        assert_eq!(validate_prometheus(&prom), Ok(3));
+    }
+
+    #[test]
+    fn validator_rejects_repeated_preambles_and_split_families() {
+        assert!(
+            validate_prometheus("# TYPE a counter\na 1\n# TYPE a counter\na{m=\"1\"} 2").is_err()
+        );
+        assert!(validate_prometheus("# HELP a x\n# HELP a x\n# TYPE a counter\na 1").is_err());
+        let split = "# TYPE a counter\n# TYPE b counter\na{m=\"0\"} 1\nb 2\na{m=\"1\"} 3";
+        assert!(validate_prometheus(split).is_err());
+        let hist = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 4\nh_count 1";
+        assert_eq!(
+            validate_prometheus(hist),
+            Ok(3),
+            "histogram suffixes are one family"
+        );
     }
 
     #[test]

@@ -506,7 +506,7 @@ impl Vehicle {
             self.step();
         }
         if let (Some(t0), Some(tel)) = (t0, &self.telemetry) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::Vnet,
                 start,
                 self.cycle,
@@ -533,7 +533,7 @@ impl Vehicle {
             self.step();
         }
         if let (Some(t0), Some(tel)) = (t0, &self.telemetry) {
-            tel.spans().record(
+            tel.span(
                 Subsystem::Vnet,
                 start,
                 self.cycle,

@@ -398,7 +398,7 @@ impl XcpMaster {
     /// attached) covering a whole transact-with-retries episode.
     fn record_span(&self, dev: &Device, start_cycle: u64, t0: Option<std::time::Instant>) {
         if let (Some(t0), Some(tel)) = (t0, dev.telemetry()) {
-            tel.spans().record(
+            tel.span(
                 mcds_telemetry::Subsystem::XcpTransaction,
                 start_cycle,
                 dev.soc().cycle(),

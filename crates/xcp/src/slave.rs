@@ -16,6 +16,7 @@ use mcds_psi::device::{Device, DeviceError};
 use mcds_soc::bus::BusFault;
 use mcds_soc::isa::MemWidth;
 use mcds_soc::overlay::{CalPage, OVERLAY_RANGE_COUNT};
+use mcds_soc::sink::NullSink;
 use mcds_soc::soc::memmap;
 use std::collections::VecDeque;
 
@@ -376,7 +377,7 @@ impl XcpSlave {
     pub fn run(&mut self, dev: &mut Device, cycles: u64) {
         let end = dev.soc().cycle() + cycles;
         while dev.soc().cycle() < end {
-            dev.step();
+            dev.step_into(&mut NullSink);
             self.sample_tick(dev);
         }
     }

@@ -33,6 +33,12 @@ for metric in mcds_sim_cycles_total mcds_bus_busy_cycles_total \
   grep -q "\"$metric\"" target/analysis/t10_telemetry.json \
     || { echo "missing $metric in t10_telemetry.json"; exit 1; }
 done
+# Spans are registry counters: the trace-encode series in the exposition,
+# the span family in the JSON document.
+grep -qF 'telemetry_spans_total{subsystem="trace_encode"}' target/analysis/t10_telemetry.prom \
+  || { echo "missing trace_encode spans in t10_telemetry.prom"; exit 1; }
+grep -q '"telemetry_spans_total"' target/analysis/t10_telemetry.json \
+  || { echo "missing telemetry_spans_total in t10_telemetry.json"; exit 1; }
 # Streaming-pipeline smoke: the push-based observation path must beat the
 # legacy allocate-and-collect path by >=2x cycles/s (asserted in-bench),
 # with flat memory on the long streamed run.
@@ -95,11 +101,11 @@ test -s target/analysis/t15_journal.json \
 grep -q '"corr"' target/analysis/t15_journal.json \
   || { echo "missing correlation ids in t15_journal.json"; exit 1; }
 
-# Execution-kernel smoke: the discrete-event kernel and batched
-# basic-block execution (asserted in-bench: block-batched >=5x per-cycle
-# on straight-line code, the event kernel >=10x on a quiescent timer-wait
-# workload, state hashes AND decoded traces bit-identical to per-cycle
-# stepping across all modes). The t16_* metric set must land in the
+# Execution-kernel smoke: quiescence skipping and batched basic-block
+# execution (asserted in-bench: block-batched >=5x per-cycle on
+# straight-line code, block-batched >=10x on quiescence (a timer-wait
+# workload), state hashes AND decoded traces bit-identical to per-cycle
+# stepping). The t16_* metric set must land in the
 # Prometheus artifact.
 cargo run --release -q -p mcds-bench --bin t16_kernel -- --smoke
 for metric in t16_block_cycles_total t16_skipped_cycles_total \

@@ -214,6 +214,9 @@ fn farm_surfaces_metrics_and_fleet_health() {
             "prometheus export lacks `{needle}`:\n{prom}"
         );
     }
+    if let Err(e) = mcds_telemetry::validate_prometheus(&prom) {
+        panic!("farm.metrics reply is not valid exposition ({e}):\n{prom}");
+    }
     c.destroy(a).expect("destroy");
     c.destroy(b).expect("destroy");
 }
@@ -264,8 +267,8 @@ fn vehicle_groups_render_in_fleet_health() {
     c.destroy(loose).expect("destroy");
 }
 
-/// Farm revival over the execution kernel: a session running batched
-/// (block/event-kernel) execution, evicted to disk and revived, must be
+/// Farm revival over the execution kernel: a session running
+/// block-batched execution, evicted to disk and revived, must be
 /// bit-identical — state hash and decoded trace — to a per-cycle control
 /// session that never left memory. Proves the decode cache and event
 /// heap never leak into the suspended snapshot.

@@ -282,9 +282,8 @@ fn drive_schedule(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The execution-kernel tri-modal equivalence: per-cycle,
-    /// event-kernel and block-batched runs of the same workload under
-    /// the same quantum slicing and stimulus schedule land on the same
+    /// The execution-kernel equivalence: per-cycle and block-batched
+    /// runs of the same workload under the same quantum slicing and stimulus schedule land on the same
     /// cycle with bit-identical device state and snapshot hashes.
     #[test]
     fn execution_kernel_modes_are_bit_identical(
@@ -307,9 +306,7 @@ proptest! {
             )
         };
         let per_cycle = run(mcds_soc::ExecMode::PerCycle);
-        let event = run(mcds_soc::ExecMode::EventKernel);
         let block = run(mcds_soc::ExecMode::BlockBatched);
-        prop_assert_eq!(per_cycle, event);
         prop_assert_eq!(per_cycle, block);
     }
 
@@ -338,9 +335,7 @@ proptest! {
             (bytes, msgs, device_state_hash(&dev))
         };
         let per_cycle = run(mcds_soc::ExecMode::PerCycle);
-        let event = run(mcds_soc::ExecMode::EventKernel);
         let block = run(mcds_soc::ExecMode::BlockBatched);
-        prop_assert_eq!(&per_cycle, &event);
         prop_assert_eq!(&per_cycle, &block);
     }
 
